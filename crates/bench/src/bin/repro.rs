@@ -986,7 +986,11 @@ fn bench_entry(
     reps: usize,
     r: &dbscan_core::StatsReport,
 ) -> String {
-    let mode = if threads_requested.is_some() { "par" } else { "seq" };
+    let mode = if threads_requested.is_some() {
+        "par"
+    } else {
+        "seq"
+    };
     println!(
         "  {dataset} n={n} {algorithm} {mode}@{resolved}: total {:.4}s",
         r.phase_secs(Phase::Total)
@@ -1169,7 +1173,10 @@ fn bench(scale: &Scale, huge: bool) {
         .open("BENCH_history.jsonl")
         .expect("open BENCH_history.jsonl");
     std::io::Write::write_all(&mut history, line.as_bytes()).expect("append bench history");
-    println!("baseline written to {} (history appended)\n", path.display());
+    println!(
+        "baseline written to {} (history appended)\n",
+        path.display()
+    );
 }
 
 // --------------------------------------------------------------------------
@@ -1379,7 +1386,10 @@ fn crashchaos(argv: Vec<String>) -> i32 {
     // must reproduce this hash bit-for-bit.
     let pts = spreader_points::<2>(1_200);
     let params = DbscanParams::new(DEFAULT_EPS, 10).unwrap();
-    let expected = format!("{:016x}", label_hash(&grid_exact(&pts, params).flat_labels()));
+    let expected = format!(
+        "{:016x}",
+        label_hash(&grid_exact(&pts, params).flat_labels())
+    );
     let points_json = Value::Arr(
         pts.iter()
             .map(|p| Value::Arr(p.0.iter().map(|&c| Value::Num(c)).collect()))
@@ -1400,7 +1410,7 @@ fn crashchaos(argv: Vec<String>) -> i32 {
     let spawn_daemon = |tag: &str| {
         let out = std::fs::File::create(base.join(format!("{tag}.stdout"))).expect("stdout file");
         let err = std::fs::File::create(base.join(format!("{tag}.stderr"))).expect("stderr file");
-        Command::new(&bin)
+        let child = Command::new(&bin)
             .arg("serve")
             .arg("--socket")
             .arg(&sock)
@@ -1413,7 +1423,8 @@ fn crashchaos(argv: Vec<String>) -> i32 {
             .stdout(Stdio::from(out))
             .stderr(Stdio::from(err))
             .spawn()
-            .expect("spawn daemon")
+            .expect("spawn daemon");
+        KillOnDrop(child)
     };
 
     let submit_req = |i: usize| {
@@ -1451,8 +1462,10 @@ fn crashchaos(argv: Vec<String>) -> i32 {
     for i in 0..kill_after {
         let resp = client.call(&submit_req(i)).expect("submit");
         if resp.get("ok").and_then(Value::as_bool) != Some(true) {
-            let _ = child.kill();
-            return chaos_fail(&base, &format!("submit {i} not admitted: {}", resp.to_line()));
+            return chaos_fail(
+                &base,
+                &format!("submit {i} not admitted: {}", resp.to_line()),
+            );
         }
         acked.push(resp.get("job").and_then(Value::as_u64).expect("job id"));
     }
@@ -1462,7 +1475,6 @@ fn crashchaos(argv: Vec<String>) -> i32 {
         if resp.get("state").and_then(Value::as_str) != Some("done")
             || resp.get("label_hash").and_then(Value::as_str) != Some(expected.as_str())
         {
-            let _ = child.kill();
             return chaos_fail(
                 &base,
                 &format!("pre-kill result wrong for job {id}: {}", resp.to_line()),
@@ -1473,16 +1485,18 @@ fn crashchaos(argv: Vec<String>) -> i32 {
     for i in kill_after..jobs {
         let resp = client.call(&submit_req(i)).expect("submit");
         if resp.get("ok").and_then(Value::as_bool) != Some(true) {
-            let _ = child.kill();
-            return chaos_fail(&base, &format!("submit {i} not admitted: {}", resp.to_line()));
+            return chaos_fail(
+                &base,
+                &format!("submit {i} not admitted: {}", resp.to_line()),
+            );
         }
         acked.push(resp.get("job").and_then(Value::as_u64).expect("job id"));
     }
     std::thread::sleep(Duration::from_millis(rng() % 40));
     // `Child::kill` is SIGKILL on unix: no drain, no destructors, nothing
     // survives but what fsync already put on disk.
-    child.kill().expect("SIGKILL daemon");
-    let _ = child.wait();
+    child.0.kill().expect("SIGKILL daemon");
+    let _ = child.0.wait();
     drop(client);
     println!(
         "crashchaos: SIGKILLed daemon after {} acks ({} results delivered)",
@@ -1492,8 +1506,7 @@ fn crashchaos(argv: Vec<String>) -> i32 {
 
     // Phase 2: restart on the same journal and interrogate every acked id.
     let mut child2 = spawn_daemon("daemon2");
-    let mut client =
-        Client::connect_unix_retry(&sock, Duration::from_secs(10)).expect("reconnect");
+    let mut client = Client::connect_unix_retry(&sock, Duration::from_secs(10)).expect("reconnect");
     let mut replayed = 0u64;
     for &id in &acked {
         let resp = client.call(&result_req(id)).expect("post-restart result");
@@ -1504,10 +1517,12 @@ fn crashchaos(argv: Vec<String>) -> i32 {
             == Some("unknown_job");
         if delivered.contains(&id) {
             if !tombstoned {
-                let _ = child2.kill();
                 return chaos_fail(
                     &base,
-                    &format!("delivered job {id} was re-run after restart: {}", resp.to_line()),
+                    &format!(
+                        "delivered job {id} was re-run after restart: {}",
+                        resp.to_line()
+                    ),
                 );
             }
             continue;
@@ -1521,16 +1536,17 @@ fn crashchaos(argv: Vec<String>) -> i32 {
             || resp.get("label_hash").and_then(Value::as_str) != Some(expected.as_str())
             || resp.get("recovered").and_then(Value::as_bool) != Some(true)
         {
-            let _ = child2.kill();
             return chaos_fail(
                 &base,
-                &format!("job {id} did not replay bit-identically: {}", resp.to_line()),
+                &format!(
+                    "job {id} did not replay bit-identically: {}",
+                    resp.to_line()
+                ),
             );
         }
         replayed += 1;
     }
     if replayed == 0 {
-        let _ = child2.kill();
         return chaos_fail(
             &base,
             "kill landed after the burst drained; nothing was replayed (raise --jobs)",
@@ -1545,7 +1561,6 @@ fn crashchaos(argv: Vec<String>) -> i32 {
         .and_then(Value::as_u64)
         .unwrap_or(0);
     if recovered_jobs != replayed {
-        let _ = child2.kill();
         return chaos_fail(
             &base,
             &format!("recovered_jobs={recovered_jobs} but {replayed} jobs replayed"),
@@ -1555,7 +1570,7 @@ fn crashchaos(argv: Vec<String>) -> i32 {
     // Graceful shutdown; the final stats envelope lands on daemon2's stdout.
     let _ = client.call(&obj(vec![("verb", Value::Str("shutdown".to_string()))]));
     drop(client);
-    let _ = child2.wait();
+    let _ = child2.0.wait();
     let stdout = std::fs::read_to_string(base.join("daemon2.stdout")).unwrap_or_default();
     let envelope = stdout
         .lines()
@@ -1600,6 +1615,18 @@ fn crashchaos(argv: Vec<String>) -> i32 {
     0
 }
 
+/// A spawned daemon that is killed and reaped when dropped, so that no way
+/// out of the caller (an early `return`, a panicking `.expect`) leaves it
+/// running or unreaped.
+struct KillOnDrop(std::process::Child);
+
+impl Drop for KillOnDrop {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
 fn chaos_fail(base: &Path, msg: &str) -> i32 {
     eprintln!("crashchaos: FAIL: {msg}");
     eprintln!("crashchaos: artifacts kept in {}", base.display());
@@ -1632,7 +1659,9 @@ fn loadgen(argv: Vec<String>) -> i32 {
             "--jobs" => jobs = val("--jobs").parse().expect("--jobs: integer"),
             "--faulted" => faulted = val("--faulted").parse().expect("--faulted: integer"),
             "--past-deadline" => {
-                past_deadline = val("--past-deadline").parse().expect("--past-deadline: integer");
+                past_deadline = val("--past-deadline")
+                    .parse()
+                    .expect("--past-deadline: integer");
             }
             "--traced" => traced = val("--traced").parse().expect("--traced: integer"),
             "--out" => out = PathBuf::from(val("--out")),
@@ -1833,9 +1862,7 @@ fn loadgen(argv: Vec<String>) -> i32 {
                             && (!want_trace || trace.is_some())
                     }
                     JobKind::Faulted => state == "failed" && error_code == "worker_panicked",
-                    JobKind::PastDeadline => {
-                        state == "failed" && error_code == "deadline_exceeded"
-                    }
+                    JobKind::PastDeadline => state == "failed" && error_code == "deadline_exceeded",
                 };
                 JobOutcome {
                     kind,
@@ -1893,7 +1920,11 @@ fn loadgen(argv: Vec<String>) -> i32 {
             name.to_string(),
             of_kind.len().to_string(),
             of_kind.iter().filter(|o| o.ok).count().to_string(),
-            of_kind.iter().map(|o| o.shed_retries).sum::<u64>().to_string(),
+            of_kind
+                .iter()
+                .map(|o| o.shed_retries)
+                .sum::<u64>()
+                .to_string(),
             of_kind.iter().filter(|o| o.degraded).count().to_string(),
         ]);
     }
@@ -2066,11 +2097,11 @@ fn monitor(argv: Vec<String>) -> i32 {
             "--socket" => socket = Some(PathBuf::from(val("--socket"))),
             "--connect" => connect = Some(val("--connect")),
             "--interval-ms" => {
-                interval_ms = val("--interval-ms").parse().expect("--interval-ms: integer")
+                interval_ms = val("--interval-ms")
+                    .parse()
+                    .expect("--interval-ms: integer")
             }
-            "--samples" => {
-                samples_wanted = val("--samples").parse().expect("--samples: integer")
-            }
+            "--samples" => samples_wanted = val("--samples").parse().expect("--samples: integer"),
             "--out" => out = PathBuf::from(val("--out")),
             "--help" | "-h" => {
                 eprintln!(
@@ -2165,10 +2196,6 @@ fn monitor(argv: Vec<String>) -> i32 {
     json.push_str("  ],\n");
     json.push_str(&format!("  \"final_health\": {stats_line}\n}}\n"));
     std::fs::write(&path, json).expect("cannot write monitor artifact");
-    println!(
-        "monitor: {} samples -> {}",
-        collected.len(),
-        path.display()
-    );
+    println!("monitor: {} samples -> {}", collected.len(), path.display());
     0
 }

@@ -107,7 +107,13 @@ pub fn try_grid_exact_with<const D: usize>(
     params: DbscanParams,
     strategy: BcpStrategy,
 ) -> Result<Clustering, DbscanError> {
-    try_grid_exact_instrumented(points, params, strategy, &ResourceLimits::UNLIMITED, &NoStats)
+    try_grid_exact_instrumented(
+        points,
+        params,
+        strategy,
+        &ResourceLimits::UNLIMITED,
+        &NoStats,
+    )
 }
 
 /// Fallible twin of [`grid_exact_instrumented`]: validates the input and
@@ -121,7 +127,14 @@ pub fn try_grid_exact_instrumented<const D: usize, S: StatsSink>(
     limits: &ResourceLimits,
     stats: &S,
 ) -> Result<Clustering, DbscanError> {
-    grid_exact_ctl(points, params, strategy, limits, stats, &RunCtl::unlimited())
+    grid_exact_ctl(
+        points,
+        params,
+        strategy,
+        limits,
+        stats,
+        &RunCtl::unlimited(),
+    )
 }
 
 /// Deadline-aware entry point: runs [`try_grid_exact_instrumented`] under the
@@ -232,7 +245,7 @@ fn grid_exact_finish<const D: usize, S: StatsSink>(
         if ctl.edge_degraded() {
             ctl.note_degraded_edge();
             stats.bump(Counter::CounterDecisions);
-            return crate::algorithms::degraded_edge_test(
+            return crate::algorithms::counter_edge_test(
                 points,
                 cc,
                 &mut degrade_counters,

@@ -26,7 +26,10 @@ pub fn gunawan_2d(points: &[Point<2>], params: DbscanParams) -> Clustering {
 /// Fallible twin of [`gunawan_2d`]: returns a typed [`DbscanError`] for
 /// non-finite coordinates or unrepresentable cell indices instead of
 /// panicking.
-pub fn try_gunawan_2d(points: &[Point<2>], params: DbscanParams) -> Result<Clustering, DbscanError> {
+pub fn try_gunawan_2d(
+    points: &[Point<2>],
+    params: DbscanParams,
+) -> Result<Clustering, DbscanError> {
     try_gunawan_2d_instrumented(points, params, &ResourceLimits::UNLIMITED, &NoStats)
 }
 
@@ -120,7 +123,7 @@ fn gunawan_2d_ctl<S: StatsSink>(
         if ctl.edge_degraded() {
             ctl.note_degraded_edge();
             stats.bump(Counter::CounterDecisions);
-            return crate::algorithms::degraded_edge_test(
+            return crate::algorithms::counter_edge_test(
                 points,
                 &cc,
                 &mut degrade_counters,

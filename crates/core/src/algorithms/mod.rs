@@ -48,14 +48,72 @@ use std::cell::Cell as StdCell;
 use std::sync::OnceLock;
 use std::time::Instant;
 
-/// The degraded edge test shared by the sequential deadline paths: decide the
-/// `(r1, r2)` edge with a Lemma 5 approximate counter at `rho` (the configured
-/// `degrade_rho`), built lazily over the larger cell's core points and probed
-/// with the smaller cell's. Identical mechanics to the ρ-approximate
-/// algorithm's edge rule — which is what makes a mixed exact/degraded run a
-/// valid ρ′-approximate clustering under the Sandwich Theorem.
+/// Orders the core cells of edge `(r1, r2)` as `(probe, count_side)`: the
+/// smaller cell probes the Lemma 5 counter built over the larger one.
+pub(crate) fn counter_sides<const D: usize>(
+    cc: &CoreCells<D>,
+    r1: usize,
+    r2: usize,
+) -> (usize, usize) {
+    if cc.core_points_of[r1].len() <= cc.core_points_of[r2].len() {
+        (r1, r2)
+    } else {
+        (r2, r1)
+    }
+}
+
+/// Builds the Lemma 5 counter at `rho` over the core points of core cell
+/// `rank`.
+pub(crate) fn build_cell_counter<const D: usize>(
+    points: &[Point<D>],
+    cc: &CoreCells<D>,
+    rank: usize,
+    rho: f64,
+) -> ApproxRangeCounter<D> {
+    let pts: Vec<Point<D>> = cc.core_points_of[rank]
+        .iter()
+        .map(|&i| points[i as usize])
+        .collect();
+    ApproxRangeCounter::build(&pts, cc.params.eps(), rho)
+}
+
+/// The counter edge test: whether some core point of cell `probe` has a
+/// positive approximate count in `counter`. With stats enabled, counts the
+/// queries and the hierarchy cells they visit.
+pub(crate) fn probe_cell_counter<const D: usize, S: StatsSink>(
+    points: &[Point<D>],
+    cc: &CoreCells<D>,
+    probe: usize,
+    counter: &ApproxRangeCounter<D>,
+    stats: &S,
+) -> bool {
+    if S::ENABLED {
+        let mut visited = 0u64;
+        let mut queries = 0u64;
+        let hit = cc.core_points_of[probe].iter().any(|&p| {
+            queries += 1;
+            counter.query_positive_counted(&points[p as usize], &mut visited)
+        });
+        stats.add(Counter::CounterQueries, queries);
+        stats.add(Counter::IndexNodesVisited, visited);
+        hit
+    } else {
+        cc.core_points_of[probe]
+            .iter()
+            .any(|&p| counter.query_positive(&points[p as usize]))
+    }
+}
+
+/// The counter edge test of the sequential paths: decide the `(r1, r2)` edge
+/// with a Lemma 5 approximate counter at `rho`, built lazily over the larger
+/// cell's core points (its build time added to `deferred`) and probed with
+/// the smaller cell's. The ρ-approximate algorithm's edge rule at its own
+/// `rho`, and the degraded edge test of the sequential deadline paths at the
+/// configured `degrade_rho`. Sharing the mechanics is what makes a mixed
+/// exact/degraded run a valid ρ′-approximate clustering under the Sandwich
+/// Theorem.
 #[allow(clippy::too_many_arguments)] // mirrors the exact edge-closure signature
-pub(crate) fn degraded_edge_test<const D: usize, S: StatsSink>(
+pub(crate) fn counter_edge_test<const D: usize, S: StatsSink>(
     points: &[Point<D>],
     cc: &CoreCells<D>,
     counters: &mut [Option<ApproxRangeCounter<D>>],
@@ -65,48 +123,22 @@ pub(crate) fn degraded_edge_test<const D: usize, S: StatsSink>(
     stats: &S,
     deferred: &StdCell<u64>,
 ) -> bool {
-    let eps = cc.params.eps();
-    let (probe_rank, counter_rank) = if cc.core_points_of[r1].len() <= cc.core_points_of[r2].len()
-    {
-        (r1, r2)
-    } else {
-        (r2, r1)
-    };
-    let build = || {
-        let pts: Vec<Point<D>> = cc.core_points_of[counter_rank]
-            .iter()
-            .map(|&i| points[i as usize])
-            .collect();
-        ApproxRangeCounter::build(&pts, eps, rho)
-    };
-    if S::ENABLED {
-        if counters[counter_rank].is_none() {
-            stats.bump(Counter::CounterBuilds);
-            let t = Instant::now();
-            counters[counter_rank] = Some(build());
-            deferred.set(deferred.get() + t.elapsed().as_nanos() as u64);
-        }
-        let counter = counters[counter_rank].as_ref().unwrap();
-        let mut visited = 0u64;
-        let mut queries = 0u64;
-        let hit = cc.core_points_of[probe_rank].iter().any(|&p| {
-            queries += 1;
-            counter.query_positive_counted(&points[p as usize], &mut visited)
-        });
-        stats.add(Counter::CounterQueries, queries);
-        stats.add(Counter::IndexNodesVisited, visited);
-        hit
-    } else {
-        let counter = counters[counter_rank].get_or_insert_with(build);
-        cc.core_points_of[probe_rank]
-            .iter()
-            .any(|&p| counter.query_positive(&points[p as usize]))
+    let (probe, count_side) = counter_sides(cc, r1, r2);
+    if S::ENABLED && counters[count_side].is_none() {
+        stats.bump(Counter::CounterBuilds);
+        let t = Instant::now();
+        counters[count_side] = Some(build_cell_counter(points, cc, count_side, rho));
+        deferred.set(deferred.get() + t.elapsed().as_nanos() as u64);
     }
+    let counter =
+        counters[count_side].get_or_insert_with(|| build_cell_counter(points, cc, count_side, rho));
+    probe_cell_counter(points, cc, probe, counter, stats)
 }
 
-/// [`degraded_edge_test`] over `OnceLock` slots, for the `Fn + Sync` closures
-/// of the parallel edge phase (racing builds are possible; the losing build is
-/// dropped, and both are deterministic functions of the cell's points).
+/// [`counter_edge_test`] over `OnceLock` slots, for the `Fn + Sync` closures
+/// of the parallel edge phase's degraded edges (racing builds are possible;
+/// the losing build is dropped, and both are deterministic functions of the
+/// cell's points).
 pub(crate) fn degraded_edge_test_shared<const D: usize, S: StatsSink + Sync>(
     points: &[Point<D>],
     cc: &CoreCells<D>,
@@ -116,36 +148,12 @@ pub(crate) fn degraded_edge_test_shared<const D: usize, S: StatsSink + Sync>(
     r2: usize,
     stats: &S,
 ) -> bool {
-    let eps = cc.params.eps();
-    let (probe_rank, counter_rank) = if cc.core_points_of[r1].len() <= cc.core_points_of[r2].len()
-    {
-        (r1, r2)
-    } else {
-        (r2, r1)
-    };
-    let counter = counters[counter_rank].get_or_init(|| {
+    let (probe, count_side) = counter_sides(cc, r1, r2);
+    let counter = counters[count_side].get_or_init(|| {
         if S::ENABLED {
             stats.bump(Counter::CounterBuilds);
         }
-        let pts: Vec<Point<D>> = cc.core_points_of[counter_rank]
-            .iter()
-            .map(|&i| points[i as usize])
-            .collect();
-        ApproxRangeCounter::build(&pts, eps, rho)
+        build_cell_counter(points, cc, count_side, rho)
     });
-    if S::ENABLED {
-        let mut visited = 0u64;
-        let mut queries = 0u64;
-        let hit = cc.core_points_of[probe_rank].iter().any(|&p| {
-            queries += 1;
-            counter.query_positive_counted(&points[p as usize], &mut visited)
-        });
-        stats.add(Counter::CounterQueries, queries);
-        stats.add(Counter::IndexNodesVisited, visited);
-        hit
-    } else {
-        cc.core_points_of[probe_rank]
-            .iter()
-            .any(|&p| counter.query_positive(&points[p as usize]))
-    }
+    probe_cell_counter(points, cc, probe, counter, stats)
 }

@@ -201,8 +201,6 @@ fn rho_approx_finish<const D: usize, S: StatsSink>(
             });
         }
     }
-    let eps = params.eps();
-
     // One counter per core cell, built lazily over the cell's core points (cells
     // that never serve as the "counter side" of a pair never pay for a build).
     // Build time spent inside the edge loop is reported through `deferred` so
@@ -217,56 +215,13 @@ fn rho_approx_finish<const D: usize, S: StatsSink>(
     };
     let mut uf = connect_core_cells_ctl(cc, stats, &deferred, ctl, |r1, r2| {
         stats.bump(Counter::CounterDecisions);
-        if ctl.edge_degraded() {
+        let (slots, rho) = if ctl.edge_degraded() {
             ctl.note_degraded_edge();
-            return crate::algorithms::degraded_edge_test(
-                points,
-                cc,
-                &mut degrade_counters,
-                ctl.degrade_rho(),
-                r1,
-                r2,
-                stats,
-                &deferred,
-            );
-        }
-        // Probe with the smaller side, count on the larger side.
-        let (probe_rank, counter_rank) =
-            if cc.core_points_of[r1].len() <= cc.core_points_of[r2].len() {
-                (r1, r2)
-            } else {
-                (r2, r1)
-            };
-        let build = || {
-            let pts: Vec<Point<D>> = cc.core_points_of[counter_rank]
-                .iter()
-                .map(|&i| points[i as usize])
-                .collect();
-            ApproxRangeCounter::build(&pts, eps, rho)
-        };
-        if S::ENABLED {
-            if counters[counter_rank].is_none() {
-                stats.bump(Counter::CounterBuilds);
-                let t = Instant::now();
-                counters[counter_rank] = Some(build());
-                deferred.set(deferred.get() + t.elapsed().as_nanos() as u64);
-            }
-            let counter = counters[counter_rank].as_ref().unwrap();
-            let mut visited = 0u64;
-            let mut queries = 0u64;
-            let hit = cc.core_points_of[probe_rank].iter().any(|&p| {
-                queries += 1;
-                counter.query_positive_counted(&points[p as usize], &mut visited)
-            });
-            stats.add(Counter::CounterQueries, queries);
-            stats.add(Counter::IndexNodesVisited, visited);
-            hit
+            (&mut degrade_counters, ctl.degrade_rho())
         } else {
-            let counter = counters[counter_rank].get_or_insert_with(build);
-            cc.core_points_of[probe_rank]
-                .iter()
-                .any(|&p| counter.query_positive(&points[p as usize]))
-        }
+            (&mut counters, rho)
+        };
+        crate::algorithms::counter_edge_test(points, cc, slots, rho, r1, r2, stats, &deferred)
     });
     if S::ENABLED {
         // Core cells that never served as the count side of a reached pair,

@@ -167,8 +167,9 @@ pub fn resolve_threads(threads: Option<usize>) -> usize {
         // `available_parallelism` walks cgroup files on Linux — tens of
         // microseconds per call, which a pooled run pays on *every* launch.
         // The count is stable for the process lifetime, so resolve it once.
-        None | Some(0) => *ALL_CORES
-            .get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get())),
+        None | Some(0) => {
+            *ALL_CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+        }
         Some(t) => t,
     }
 }
@@ -414,8 +415,7 @@ fn build_core_cells_par<const D: usize, S: StatsSink>(
     let grid = GridIndex::try_build(points, params.eps(), config.limits.max_index_bytes)?;
     stats.finish(Phase::GridBuild, grid_span);
     let span = stats.now();
-    let is_core =
-        label_core_points_par(points, &grid, params, pool, &config.faults, stats, ctl)?;
+    let is_core = label_core_points_par(points, &grid, params, pool, &config.faults, stats, ctl)?;
 
     let mut core_cells = Vec::new();
     let mut rank_of_cell = vec![u32::MAX; grid.num_cells()];
@@ -662,69 +662,78 @@ fn assemble_par<const D: usize, S: StatsSink>(
     // Per-worker buffers of (border point, adjacent cluster ids) pairs.
     type BorderOut = Vec<(u32, Vec<u32>)>;
     let slots: Vec<Mutex<BorderOut>> = (0..threads).map(|_| Mutex::new(Vec::new())).collect();
-    run_pool_phase(pool, ctl, &hb, &poison, &queue, "border_assign", stats, |w| {
-        let component_of_rank = &component_of_rank;
-        let mut out = Vec::new();
-        let mut stolen = 0u64;
-        loop {
-            if poison.is_poisoned() {
-                // cooperative drain after a peer's panic
-                stats.trace_instant(w + 1, EventName::PoisonTrip, [0, 0]);
-                queue.close();
-                break;
-            }
-            if ctl.should_stop() {
-                // budget tripped: close so peers stop claiming too
-                queue.close();
-                break;
-            }
-            let Some(claim) = queue.claim(w) else {
-                break;
-            };
-            hb.beat(w);
-            let cell_id = claim.task;
-            stolen += u64::from(claim.stolen);
-            if claim.stolen {
-                stats.trace_instant(w + 1, EventName::Steal, [cell_id, claim.home as u32]);
-            }
-            faults.maybe_steal_delay(claim.stolen);
-            let t0 = stats.trace_start();
-            let task = catch_unwind(AssertUnwindSafe(|| {
-                faults.maybe_panic(FaultSite::BorderAssign, cell_id);
-                for &p in cc.grid.points_of(cell_id) {
-                    if cc.is_core[p as usize] {
-                        continue;
-                    }
-                    let clusters = assign_border_clusters(points, cc, component_of_rank, p);
-                    if !clusters.is_empty() {
-                        out.push((p, clusters));
-                    }
+    run_pool_phase(
+        pool,
+        ctl,
+        &hb,
+        &poison,
+        &queue,
+        "border_assign",
+        stats,
+        |w| {
+            let component_of_rank = &component_of_rank;
+            let mut out = Vec::new();
+            let mut stolen = 0u64;
+            loop {
+                if poison.is_poisoned() {
+                    // cooperative drain after a peer's panic
+                    stats.trace_instant(w + 1, EventName::PoisonTrip, [0, 0]);
+                    queue.close();
+                    break;
                 }
-            }));
-            stats.trace_task_span(
-                w + 1,
-                EventName::TaskBorder,
-                t0,
-                cell_id,
-                cc.grid.cell_population(cell_id) as u64,
-                claim.stolen,
-                claim.home,
-            );
-            if let Err(payload) = task {
-                stats.trace_instant(w + 1, EventName::WorkerPanic, [cell_id, 0]);
-                poison.record("border_assign", cell_id, payload);
-                break;
+                if ctl.should_stop() {
+                    // budget tripped: close so peers stop claiming too
+                    queue.close();
+                    break;
+                }
+                let Some(claim) = queue.claim(w) else {
+                    break;
+                };
+                hb.beat(w);
+                let cell_id = claim.task;
+                stolen += u64::from(claim.stolen);
+                if claim.stolen {
+                    stats.trace_instant(w + 1, EventName::Steal, [cell_id, claim.home as u32]);
+                }
+                faults.maybe_steal_delay(claim.stolen);
+                let t0 = stats.trace_start();
+                let task = catch_unwind(AssertUnwindSafe(|| {
+                    faults.maybe_panic(FaultSite::BorderAssign, cell_id);
+                    for &p in cc.grid.points_of(cell_id) {
+                        if cc.is_core[p as usize] {
+                            continue;
+                        }
+                        let clusters = assign_border_clusters(points, cc, component_of_rank, p);
+                        if !clusters.is_empty() {
+                            out.push((p, clusters));
+                        }
+                    }
+                }));
+                stats.trace_task_span(
+                    w + 1,
+                    EventName::TaskBorder,
+                    t0,
+                    cell_id,
+                    cc.grid.cell_population(cell_id) as u64,
+                    claim.stolen,
+                    claim.home,
+                );
+                if let Err(payload) = task {
+                    stats.trace_instant(w + 1, EventName::WorkerPanic, [cell_id, 0]);
+                    poison.record("border_assign", cell_id, payload);
+                    break;
+                }
+                if ctl.armed() {
+                    ctl.stage_done(StageId::BorderAssign, 1);
+                }
             }
-            if ctl.armed() {
-                ctl.stage_done(StageId::BorderAssign, 1);
+            hb.mark_done(w);
+            if S::ENABLED {
+                stats.add(Counter::TasksStolen, stolen);
             }
-        }
-        hb.mark_done(w);
-        if S::ENABLED {
-            stats.add(Counter::TasksStolen, stolen);
-        }
-        *slots[w].lock().unwrap_or_else(|e| e.into_inner()) = out;
-    });
+            *slots[w].lock().unwrap_or_else(|e| e.into_inner()) = out;
+        },
+    );
     check_poison(&poison, "border_assign", stats)?;
     for slot in slots {
         for (p, clusters) in slot.into_inner().unwrap_or_else(|e| e.into_inner()) {
@@ -928,7 +937,11 @@ fn grid_exact_par_attempt<const D: usize, S: StatsSink>(
                 }
                 None => {
                     let mut built = false;
-                    let t0 = if S::ENABLED { Some(Instant::now()) } else { None };
+                    let t0 = if S::ENABLED {
+                        Some(Instant::now())
+                    } else {
+                        None
+                    };
                     let tree = trees[tree_rank].get_or_init(|| {
                         built = true;
                         let ids = &cc.core_points_of[tree_rank];
@@ -939,7 +952,8 @@ fn grid_exact_par_attempt<const D: usize, S: StatsSink>(
                     if built {
                         stats.bump(Counter::KdTreeBuilds);
                         if let Some(t0) = t0 {
-                            edge_builds.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                            edge_builds
+                                .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
                         }
                     } else {
                         // Another worker won the init race between `get` and
@@ -1003,8 +1017,14 @@ pub fn rho_approx_par_instrumented<const D: usize, S: StatsSink>(
     threads: Option<usize>,
     stats: &S,
 ) -> Clustering {
-    try_rho_approx_par_instrumented(points, params, rho, &ParConfig::with_threads(threads), stats)
-        .unwrap_or_else(|e| panic!("{e}"))
+    try_rho_approx_par_instrumented(
+        points,
+        params,
+        rho,
+        &ParConfig::with_threads(threads),
+        stats,
+    )
+    .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Fallible twin of [`rho_approx_par`] with the default [`ParConfig`] knobs
@@ -1116,7 +1136,6 @@ fn rho_approx_par_attempt<const D: usize, S: StatsSink>(
             });
         }
     }
-    let eps = params.eps();
 
     let counters: Vec<OnceLock<ApproxRangeCounter<D>>> =
         (0..cc.num_core_cells()).map(|_| OnceLock::new()).collect();
@@ -1152,51 +1171,33 @@ fn rho_approx_par_attempt<const D: usize, S: StatsSink>(
                     stats,
                 );
             }
-            let (probe, count_side) = if cc.core_points_of[r1].len() <= cc.core_points_of[r2].len()
-            {
-                (r1, r2)
-            } else {
-                (r2, r1)
-            };
+            let (probe, count_side) = crate::algorithms::counter_sides(&cc, r1, r2);
             // Same cache-hit fast path as the exact closure: no clock read
             // unless this task may perform the build.
             let counter = match counters[count_side].get() {
                 Some(counter) => counter,
                 None => {
                     let mut built = false;
-                    let t0 = if S::ENABLED { Some(Instant::now()) } else { None };
+                    let t0 = if S::ENABLED {
+                        Some(Instant::now())
+                    } else {
+                        None
+                    };
                     let counter = counters[count_side].get_or_init(|| {
                         built = true;
-                        let pts: Vec<Point<D>> = cc.core_points_of[count_side]
-                            .iter()
-                            .map(|&i| points[i as usize])
-                            .collect();
-                        ApproxRangeCounter::build(&pts, eps, rho)
+                        crate::algorithms::build_cell_counter(points, &cc, count_side, rho)
                     });
                     if built {
                         stats.bump(Counter::CounterBuilds);
                         if let Some(t0) = t0 {
-                            edge_builds.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                            edge_builds
+                                .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
                         }
                     }
                     counter
                 }
             };
-            if S::ENABLED {
-                let mut queries = 0u64;
-                let mut visited = 0u64;
-                let hit = cc.core_points_of[probe].iter().any(|&p| {
-                    queries += 1;
-                    counter.query_positive_counted(&points[p as usize], &mut visited)
-                });
-                stats.add(Counter::CounterQueries, queries);
-                stats.add(Counter::IndexNodesVisited, visited);
-                hit
-            } else {
-                cc.core_points_of[probe]
-                    .iter()
-                    .any(|&p| counter.query_positive(&points[p as usize]))
-            }
+            crate::algorithms::probe_cell_counter(points, &cc, probe, counter, stats)
         },
     )?;
     if S::ENABLED {

@@ -1,12 +1,12 @@
 //! Integration tests for deadline-aware execution: graceful degradation
-//! (Sandwich-Theorem validity), partial-result consistency, abort hygiene,
-//! and bounded cancellation latency.
+//! (Sandwich-Theorem validity), partial-result consistency, and bounded
+//! cancellation latency. Abort hygiene lives in `deadline_abort.rs`.
 
 use dbscan_core::algorithms::{grid_exact, try_grid_exact_deadline, BcpStrategy};
 use dbscan_core::parallel::{try_grid_exact_par_deadline, ParConfig};
 use dbscan_core::{
-    Assignment, Clustering, DbscanError, DbscanParams, DeadlineConfig, DeadlineOutcome,
-    DeadlinePolicy, NoStats, RecoveryPolicy, ResourceLimits,
+    Assignment, Clustering, DbscanParams, DeadlineConfig, DeadlineOutcome, DeadlinePolicy, NoStats,
+    RecoveryPolicy, ResourceLimits,
 };
 use dbscan_geom::point::p2;
 use dbscan_geom::Point;
@@ -200,59 +200,6 @@ fn partial_results_are_subset_consistent_prefixes() {
     assert!(zero.validate().is_ok(), "{:?}", zero.validate());
 }
 
-#[test]
-fn abort_surfaces_typed_error_and_leaks_no_threads() {
-    let pts = lcg_points(4_000, 40.0, 9);
-    let p = params(1.0, 4);
-    let dl = deadline(Duration::ZERO, DeadlinePolicy::Abort);
-
-    // Sequential: the first checkpoint observes the trip in the labeling
-    // stage.
-    let err = try_grid_exact_deadline(
-        &pts,
-        p,
-        BcpStrategy::TreeAssisted,
-        &ResourceLimits::UNLIMITED,
-        &dl,
-        &NoStats,
-    )
-    .unwrap_err();
-    match &err {
-        DbscanError::DeadlineExceeded { phase, .. } => assert_eq!(*phase, "labeling"),
-        other => panic!("expected DeadlineExceeded, got {other:?}"),
-    }
-
-    // Parallel: same typed error. Workers now live on the persistent shared
-    // pool (parked, not torn down — see `dbscan_core::WorkerPool`), so the
-    // hygiene invariant is *no growth across calls*: after a first call has
-    // warmed the pool for this thread count, repeated aborting calls must
-    // leave the process thread count exactly where it was.
-    let start = std::time::Instant::now();
-    let err = try_grid_exact_par_deadline(&pts, p, &par_config(4, dl), &NoStats).unwrap_err();
-    assert!(
-        matches!(err, DbscanError::DeadlineExceeded { .. }),
-        "got {err:?}"
-    );
-    // An impossible budget must terminate promptly — well inside budget +
-    // cancellation-latency bound, generously padded for CI jitter.
-    assert!(
-        start.elapsed() < Duration::from_secs(30),
-        "abort took {:?}",
-        start.elapsed()
-    );
-    let baseline = thread_count();
-    for _ in 0..5 {
-        let err = try_grid_exact_par_deadline(&pts, p, &par_config(4, dl), &NoStats).unwrap_err();
-        assert!(matches!(err, DbscanError::DeadlineExceeded { .. }));
-    }
-    let now = thread_count();
-    assert!(now <= baseline, "leaked threads: {baseline} -> {now}");
-}
-
-fn thread_count() -> usize {
-    std::fs::read_dir("/proc/self/task").map_or(1, |d| d.count())
-}
-
 /// Cancellation latency stays bounded even when workers are slowed by
 /// injected steal delays: the first checkpoint past the budget edge records
 /// how far past it the run actually noticed.
@@ -263,7 +210,10 @@ fn cancel_latency_is_bounded_under_injected_steal_delays() {
 
     let pts = lcg_points(4_000, 40.0, 13);
     let p = params(1.0, 4);
-    let mut config = par_config(4, deadline(Duration::from_micros(200), DeadlinePolicy::Partial));
+    let mut config = par_config(
+        4,
+        deadline(Duration::from_micros(200), DeadlinePolicy::Partial),
+    );
     config.faults = FaultPlan::new(5).with_steal_delay_micros(2_000);
     let (_, report) = try_grid_exact_par_deadline(&pts, p, &config, &NoStats).unwrap();
     // The budget certainly trips on this input; the observed overshoot must

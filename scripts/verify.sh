@@ -5,14 +5,14 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== tier-1: cargo build --release =="
-cargo build --release
+echo "== tier-1: cargo build --workspace --release =="
+cargo build --workspace --release
 
-echo "== tier-1: cargo test -q =="
-cargo test -q
+echo "== tier-1: cargo test --workspace -q =="
+cargo test --workspace -q
 
-echo "== tier-1: cargo clippy --all-targets -- -D warnings =="
-cargo clippy --all-targets -- -D warnings
+echo "== tier-1: cargo clippy --workspace --all-targets -- -D warnings =="
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== fault-injection: cargo test -p dbscan-core --features fault-injection -q =="
 cargo test -p dbscan-core --features fault-injection -q
