@@ -690,12 +690,18 @@ fn serve_main(argv: Vec<String>) -> ExitCode {
             }
             "--max-queue" => cfg.max_queue = parse_num(&value("--max-queue"), "--max-queue"),
             "--workers" => cfg.workers = parse_num(&value("--workers"), "--workers"),
-            "--job-threads" => cfg.job_threads = parse_num(&value("--job-threads"), "--job-threads"),
-            "--pressure-threshold" => {
-                cfg.pressure_threshold =
-                    Some(parse_dur(value("--pressure-threshold"), "--pressure-threshold"))
+            "--job-threads" => {
+                cfg.job_threads = parse_num(&value("--job-threads"), "--job-threads")
             }
-            "--overload-rho" => cfg.overload_rho = parse_num(&value("--overload-rho"), "--overload-rho"),
+            "--pressure-threshold" => {
+                cfg.pressure_threshold = Some(parse_dur(
+                    value("--pressure-threshold"),
+                    "--pressure-threshold",
+                ))
+            }
+            "--overload-rho" => {
+                cfg.overload_rho = parse_num(&value("--overload-rho"), "--overload-rho")
+            }
             "--drain-deadline" => {
                 cfg.drain_deadline = parse_dur(value("--drain-deadline"), "--drain-deadline")
             }
@@ -703,7 +709,9 @@ fn serve_main(argv: Vec<String>) -> ExitCode {
                 cfg.max_index_bytes =
                     Some(parse_num(&value("--max-index-bytes"), "--max-index-bytes"))
             }
-            "--cache-bytes" => cfg.cache_bytes = parse_num(&value("--cache-bytes"), "--cache-bytes"),
+            "--cache-bytes" => {
+                cfg.cache_bytes = parse_num(&value("--cache-bytes"), "--cache-bytes")
+            }
             "--metrics-listen" => cfg.metrics_listen = Some(value("--metrics-listen")),
             "--log-level" => {
                 let raw = value("--log-level");

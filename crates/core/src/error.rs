@@ -114,7 +114,10 @@ impl fmt::Display for DbscanError {
         match self {
             DbscanError::InvalidParams(e) => write!(f, "invalid parameters: {e}"),
             DbscanError::NonFinitePoint { index } => {
-                write!(f, "input point {index} has a non-finite coordinate (NaN or infinity)")
+                write!(
+                    f,
+                    "input point {index} has a non-finite coordinate (NaN or infinity)"
+                )
             }
             DbscanError::InvalidRho { rho, reason } => {
                 write!(f, "{reason}: got rho = {rho}")
@@ -143,11 +146,9 @@ impl fmt::Display for DbscanError {
                 "a worker panicked in the {phase} phase (task {task}, \
                  {panic_count} worker failure(s) total): {payload}"
             ),
-            DbscanError::Cancelled { phase, reason } => write!(
-                f,
-                "run cancelled ({}) in the {phase} phase",
-                reason.name()
-            ),
+            DbscanError::Cancelled { phase, reason } => {
+                write!(f, "run cancelled ({}) in the {phase} phase", reason.name())
+            }
             DbscanError::DeadlineExceeded {
                 phase,
                 elapsed,
@@ -157,11 +158,18 @@ impl fmt::Display for DbscanError {
                 "deadline exceeded in the {phase} phase after {elapsed:?} \
                  with {remaining_tasks} tasks remaining"
             ),
-            DbscanError::IndexSizeMismatch { index_len, points_len } => write!(
+            DbscanError::IndexSizeMismatch {
+                index_len,
+                points_len,
+            } => write!(
                 f,
                 "the range index covers {index_len} points but the dataset has {points_len}"
             ),
-            DbscanError::Parse { line, token, message } => {
+            DbscanError::Parse {
+                line,
+                token,
+                message,
+            } => {
                 write!(f, "line {line}: {message} (offending token: {token:?})")
             }
             DbscanError::Io(e) => write!(f, "I/O error: {e}"),
@@ -238,11 +246,20 @@ pub(crate) const RHO_EPS_OVERFLOW: &str =
 /// to infinity.
 pub fn validate_rho(eps: f64, rho: f64) -> Result<(), DbscanError> {
     if !(rho.is_finite() && rho > 0.0) {
-        Err(DbscanError::InvalidRho { rho, reason: RHO_POSITIVE })
+        Err(DbscanError::InvalidRho {
+            rho,
+            reason: RHO_POSITIVE,
+        })
     } else if rho <= 1e-9 {
-        Err(DbscanError::InvalidRho { rho, reason: RHO_TOO_SMALL })
+        Err(DbscanError::InvalidRho {
+            rho,
+            reason: RHO_TOO_SMALL,
+        })
     } else if !(eps * (1.0 + rho)).is_finite() {
-        Err(DbscanError::InvalidRho { rho, reason: RHO_EPS_OVERFLOW })
+        Err(DbscanError::InvalidRho {
+            rho,
+            reason: RHO_EPS_OVERFLOW,
+        })
     } else {
         Ok(())
     }
@@ -296,11 +313,15 @@ pub struct ResourceLimits {
 
 impl ResourceLimits {
     /// No budgets: every build is attempted (the historical behavior).
-    pub const UNLIMITED: ResourceLimits = ResourceLimits { max_index_bytes: None };
+    pub const UNLIMITED: ResourceLimits = ResourceLimits {
+        max_index_bytes: None,
+    };
 
     /// Limits with the given index-build byte budget.
     pub fn with_max_index_bytes(max_index_bytes: u64) -> Self {
-        ResourceLimits { max_index_bytes: Some(max_index_bytes) }
+        ResourceLimits {
+            max_index_bytes: Some(max_index_bytes),
+        }
     }
 }
 
@@ -314,17 +335,26 @@ mod tests {
         for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
             assert!(matches!(
                 validate_rho(1.0, bad),
-                Err(DbscanError::InvalidRho { reason: RHO_POSITIVE, .. })
+                Err(DbscanError::InvalidRho {
+                    reason: RHO_POSITIVE,
+                    ..
+                })
             ));
         }
         assert!(matches!(
             validate_rho(1.0, 1e-10),
-            Err(DbscanError::InvalidRho { reason: RHO_TOO_SMALL, .. })
+            Err(DbscanError::InvalidRho {
+                reason: RHO_TOO_SMALL,
+                ..
+            })
         ));
         // eps * (1 + rho) overflows f64 even though rho itself is finite.
         assert!(matches!(
             validate_rho(1e308, 10.0),
-            Err(DbscanError::InvalidRho { reason: RHO_EPS_OVERFLOW, .. })
+            Err(DbscanError::InvalidRho {
+                reason: RHO_EPS_OVERFLOW,
+                ..
+            })
         ));
     }
 
@@ -345,7 +375,13 @@ mod tests {
             budget_bytes: 10,
         }
         .into();
-        assert!(matches!(e, DbscanError::ResourceLimit { budget_bytes: 10, .. }));
+        assert!(matches!(
+            e,
+            DbscanError::ResourceLimit {
+                budget_bytes: 10,
+                ..
+            }
+        ));
 
         let e: DbscanError = dbscan_geom::CellError::Overflow {
             dim: 2,

@@ -49,11 +49,11 @@ pub mod usec;
 pub mod validate;
 
 pub use cells::CoreCells;
+pub use dbscan_geom::kernels;
 pub use deadline::{
     parse_duration, Budget, CancelReason, CancelToken, DeadlineConfig, DeadlineOutcome,
     DeadlinePolicy, DeadlineReport, RunCtl, StageId,
 };
-pub use dbscan_geom::kernels;
 pub use error::{DbscanError, RecoveryPolicy, ResourceLimits};
 pub use faults::{FaultPlan, FaultSite};
 pub use parallel::ParConfig;

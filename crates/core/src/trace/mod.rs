@@ -91,7 +91,9 @@ impl EventName {
 
     /// The phase a phase-span name records, if it is one.
     pub fn as_phase(self) -> Option<Phase> {
-        Phase::ALL.into_iter().find(|&p| EventName::of_phase(p) == self)
+        Phase::ALL
+            .into_iter()
+            .find(|&p| EventName::of_phase(p) == self)
     }
 
     /// Stable snake_case label used by both exporters. Phase spans reuse the
@@ -441,7 +443,15 @@ pub trait TraceSink: Sync {
             if let Some(t) = self.tracer() {
                 let base = t.ts_of(start);
                 if edge_ns > 0 {
-                    t.span(0, EventName::PhaseEdgeTests, base, edge_ns, [0, 0], false, 0);
+                    t.span(
+                        0,
+                        EventName::PhaseEdgeTests,
+                        base,
+                        edge_ns,
+                        [0, 0],
+                        false,
+                        0,
+                    );
                 }
                 if union_ns > 0 {
                     t.span(
@@ -602,7 +612,15 @@ mod tests {
     fn tracer_records_spans_and_instants() {
         let t = Tracer::with_capacity(2, 16);
         let start = Instant::now();
-        t.span(0, EventName::PhaseTotal, t.ts_of(start), 1_000, [0, 0], false, 0);
+        t.span(
+            0,
+            EventName::PhaseTotal,
+            t.ts_of(start),
+            1_000,
+            [0, 0],
+            false,
+            0,
+        );
         t.instant(1, EventName::Steal, [7, 1]);
         let snap = t.snapshot();
         assert_eq!(snap.events.len(), 2);
@@ -645,6 +663,9 @@ mod tests {
         let snap = ts.tracer.snapshot();
         assert_eq!(snap.events.len(), 1);
         assert_eq!(snap.events[0].name, EventName::PhaseTotal);
-        assert_eq!(snap.events[0].dur_ns, ts.stats.report().phase_nanos(Phase::Total));
+        assert_eq!(
+            snap.events[0].dur_ns,
+            ts.stats.report().phase_nanos(Phase::Total)
+        );
     }
 }

@@ -138,7 +138,10 @@ fn invalid_rho_values_are_typed_errors() {
         ] {
             match r {
                 Err(DbscanError::InvalidRho { rho, .. }) => {
-                    assert!(rho.is_nan() == bad.is_nan() && (rho.is_nan() || rho == bad), "{name}")
+                    assert!(
+                        rho.is_nan() == bad.is_nan() && (rho.is_nan() || rho == bad),
+                        "{name}"
+                    )
                 }
                 other => panic!("{name} rho={bad}: expected InvalidRho, got {other:?}"),
             }
@@ -193,6 +196,7 @@ fn tiny_byte_budget_is_refused_not_oom() {
     }
     // A generous budget admits the same run.
     let roomy = ResourceLimits::with_max_index_bytes(64 << 20);
-    assert!(try_grid_exact_instrumented(&pts, p, BcpStrategy::TreeAssisted, &roomy, &NoStats)
-        .is_ok());
+    assert!(
+        try_grid_exact_instrumented(&pts, p, BcpStrategy::TreeAssisted, &roomy, &NoStats).is_ok()
+    );
 }

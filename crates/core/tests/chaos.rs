@@ -5,10 +5,11 @@
 #![cfg(feature = "fault-injection")]
 
 use dbscan_core::algorithms::{grid_exact, rho_approx};
-use dbscan_core::parallel::{try_grid_exact_par_instrumented, try_rho_approx_par_instrumented, ParConfig};
+use dbscan_core::parallel::{
+    try_grid_exact_par_instrumented, try_rho_approx_par_instrumented, ParConfig,
+};
 use dbscan_core::{
-    Counter, DbscanError, DbscanParams, FaultPlan, FaultSite, RecoveryPolicy, ResourceLimits,
-    Stats,
+    Counter, DbscanError, DbscanParams, FaultPlan, FaultSite, RecoveryPolicy, ResourceLimits, Stats,
 };
 use dbscan_geom::point::p2;
 use dbscan_geom::Point;
@@ -50,8 +51,9 @@ fn edge_phase_panic_under_fail_policy_surfaces_worker_panicked() {
     let p = params(1.0, 4);
     let faults = FaultPlan::new(42).with_panic(FaultSite::EdgeTests, 1.0);
     let stats = Stats::new();
-    let err = try_grid_exact_par_instrumented(&pts, p, &config(RecoveryPolicy::Fail, faults), &stats)
-        .unwrap_err();
+    let err =
+        try_grid_exact_par_instrumented(&pts, p, &config(RecoveryPolicy::Fail, faults), &stats)
+            .unwrap_err();
     match err {
         DbscanError::WorkerPanicked { phase, payload, .. } => {
             assert_eq!(phase, "edge_tests");
@@ -176,13 +178,9 @@ fn steal_delays_alone_do_not_change_the_result() {
     let seq = grid_exact(&pts, p);
     let faults = FaultPlan::new(5).with_steal_delay_micros(50);
     let stats = Stats::new();
-    let out = try_grid_exact_par_instrumented(
-        &pts,
-        p,
-        &config(RecoveryPolicy::Fail, faults),
-        &stats,
-    )
-    .expect("delays are not failures");
+    let out =
+        try_grid_exact_par_instrumented(&pts, p, &config(RecoveryPolicy::Fail, faults), &stats)
+            .expect("delays are not failures");
     assert_eq!(out.assignments, seq.assignments);
     assert_eq!(stats.report().counter(Counter::WorkerPanics), 0);
     assert_eq!(stats.report().counter(Counter::SequentialFallbacks), 0);

@@ -175,7 +175,10 @@ struct Parser<'a> {
 
 impl<'a> Parser<'a> {
     fn new(s: &'a str) -> Self {
-        Parser { s: s.as_bytes(), i: 0 }
+        Parser {
+            s: s.as_bytes(),
+            i: 0,
+        }
     }
 
     fn ws(&mut self) {
@@ -233,7 +236,10 @@ impl<'a> Parser<'a> {
             self.i += 1;
         }
         let text = std::str::from_utf8(&self.s[start..self.i]).unwrap();
-        Json::Num(text.parse().unwrap_or_else(|_| panic!("bad number {text:?}")))
+        Json::Num(
+            text.parse()
+                .unwrap_or_else(|_| panic!("bad number {text:?}")),
+        )
     }
 
     fn string(&mut self) -> String {
@@ -325,9 +331,18 @@ fn chrome_export_of_a_parallel_run_is_valid_trace_event_json() {
     let mut thread_names = Vec::new();
     let mut task_spans = 0;
     for ev in &events {
-        let ph = ev.get("ph").and_then(Json::as_str).expect("every event has ph");
-        assert!(ev.get("pid").and_then(Json::as_num).is_some(), "every event has pid");
-        assert!(ev.get("tid").and_then(Json::as_num).is_some(), "every event has tid");
+        let ph = ev
+            .get("ph")
+            .and_then(Json::as_str)
+            .expect("every event has ph");
+        assert!(
+            ev.get("pid").and_then(Json::as_num).is_some(),
+            "every event has pid"
+        );
+        assert!(
+            ev.get("tid").and_then(Json::as_num).is_some(),
+            "every event has tid"
+        );
         match ph {
             "X" => {
                 assert!(ev.get("ts").and_then(Json::as_num).is_some());
