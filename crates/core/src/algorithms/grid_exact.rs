@@ -20,8 +20,10 @@ use std::time::Instant;
 /// Exact DBSCAN via grid + BCP (the paper's Theorem 2 algorithm).
 ///
 /// The theoretical BCP routine of Agarwal et al. is replaced by an early-exit
-/// predicate: small cell pairs use a brute-force scan, large ones probe a
-/// lazily built (and cached) kd-tree over the bigger cell's core points.
+/// predicate: small cell pairs use a brute-force scan; large ones are first
+/// filtered by each other's bounding box and scanned, and only a pair still
+/// undecided probes a lazily built (and cached) kd-tree over the bigger
+/// cell's core points.
 ///
 /// ```
 /// use dbscan_core::{DbscanParams, algorithms::grid_exact};
@@ -47,8 +49,10 @@ pub fn grid_exact<const D: usize>(points: &[Point<D>], params: DbscanParams) -> 
 /// the BCP routine moves the exact/approximate crossover. See EXPERIMENTS.md.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum BcpStrategy {
-    /// Early-exit brute force for small pairs, cached kd-tree probing for
-    /// large ones (this crate's substitute for Agarwal et al.'s BCP).
+    /// Early-exit brute force for small pairs; for large ones a bounding-box
+    /// filter, then brute force or a budgeted probe, then cached kd-tree
+    /// probing (this crate's substitute for Agarwal et al.'s BCP; see
+    /// [`crate::bcp`]).
     #[default]
     TreeAssisted,
     /// Early-exit brute force for every pair — no trees, but the scan stops at
@@ -269,22 +273,16 @@ fn grid_exact_finish<const D: usize, S: StatsSink>(
             }
             BcpStrategy::TreeAssisted | BcpStrategy::BruteForceOnly => {}
         }
-        if strategy == BcpStrategy::BruteForceOnly || a.len() * b.len() <= bcp::BRUTE_FORCE_LIMIT {
+        if strategy == BcpStrategy::BruteForceOnly {
             stats.bump(Counter::BruteForceDecisions);
             stats.bump(Counter::BlockKernelCalls);
             return bcp::within_threshold_blocks(&cc.core_block(r1), &cc.core_block(r2), eps);
         }
-        // Large pair: optimistic budgeted probe first. Between core cells an
-        // edge usually exists and the blocked scan finds it in the first few
-        // chunks; only an undecided probe pays for the tree route below.
-        stats.bump(Counter::BlockKernelCalls);
-        if let Some(hit) =
-            bcp::probe_within_threshold_blocks(&cc.core_block(r1), &cc.core_block(r2), eps)
-        {
-            stats.bump(Counter::BruteForceDecisions);
+        // Box filter, blocked scan, budgeted probe; only a pair none of them
+        // decides pays for the tree route below.
+        if let Some(hit) = crate::algorithms::exact_edge_scan(cc, r1, r2, stats) {
             return hit;
         }
-        stats.bump(Counter::TreeProbeDecisions);
         let (probe, tree_rank, tree_pts) = if a.len() <= b.len() {
             (a, r2, b)
         } else {

@@ -313,8 +313,9 @@ pub fn try_kdd96_kdtree_instrumented<const D: usize, S: StatsSink>(
 }
 
 /// Deadline-aware entry point for the kd-tree-indexed KDD'96 run. KDD'96 has
-/// no approximate edge phase, so `degrade` behaves like `partial` here (see
-/// [`try_kdd96_impl_ctl`]); the report still records the outcome.
+/// no approximate edge phase, so `degrade` behaves like `partial` here (its
+/// checkpoints use [`RunCtl::should_stop_no_degrade`]); the report still
+/// records the outcome.
 pub fn try_kdd96_kdtree_deadline<const D: usize, S: StatsSink>(
     points: &[Point<D>],
     params: DbscanParams,

@@ -40,6 +40,7 @@ pub use rho_approx::{
 pub(crate) use grid_exact::grid_exact_ctl;
 pub(crate) use rho_approx::rho_approx_ctl;
 
+use crate::bcp;
 use crate::cells::CoreCells;
 use crate::stats::{Counter, StatsSink};
 use dbscan_geom::Point;
@@ -47,6 +48,35 @@ use dbscan_index::ApproxRangeCounter;
 use std::cell::Cell as StdCell;
 use std::sync::OnceLock;
 use std::time::Instant;
+
+/// The scan rungs of the exact edge test of `(r1, r2)`, shared by the
+/// sequential and pooled edge closures: box filter, blocked scan and
+/// budgeted probe ([`bcp::within_threshold_filtered`]). `Some(hit)` is the
+/// decision, counted as a brute-force decision; `None` means the caller must
+/// decide the pair on its cached kd-tree, and is counted as a tree-probe
+/// decision.
+pub(crate) fn exact_edge_scan<const D: usize, S: StatsSink>(
+    cc: &CoreCells<D>,
+    r1: usize,
+    r2: usize,
+    stats: &S,
+) -> Option<bool> {
+    let mut kernel_calls = 0u64;
+    let decided = bcp::within_threshold_filtered(
+        &cc.core_block(r1),
+        &cc.core_block(r2),
+        &cc.core_box[r2],
+        cc.params.eps(),
+        &mut kernel_calls,
+    );
+    stats.add(Counter::BlockKernelCalls, kernel_calls);
+    stats.bump(if decided.is_some() {
+        Counter::BruteForceDecisions
+    } else {
+        Counter::TreeProbeDecisions
+    });
+    decided
+}
 
 /// Orders the core cells of edge `(r1, r2)` as `(probe, count_side)`: the
 /// smaller cell probes the Lemma 5 counter built over the larger one.

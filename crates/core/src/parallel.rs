@@ -437,7 +437,8 @@ fn build_core_cells_par<const D: usize, S: StatsSink>(
     // Same layout and attribution as the sequential builder: the SoA gather
     // is a structure build, not labeling.
     let span = stats.now();
-    let (core_soa, core_soa_start) = crate::cells::gather_core_soa(points, &core_points_of);
+    let (core_soa, core_soa_start, core_box) =
+        crate::cells::gather_core_soa(points, &core_points_of);
     stats.finish(Phase::StructureBuild, span);
     Ok(CoreCells {
         params,
@@ -448,6 +449,7 @@ fn build_core_cells_par<const D: usize, S: StatsSink>(
         core_points_of,
         core_soa,
         core_soa_start,
+        core_box,
     })
 }
 
@@ -908,22 +910,12 @@ fn grid_exact_par_attempt<const D: usize, S: StatsSink>(
                     stats,
                 );
             }
-            let (a, b) = (&cc.core_points_of[r1], &cc.core_points_of[r2]);
-            if a.len() * b.len() <= bcp::BRUTE_FORCE_LIMIT {
-                stats.bump(Counter::BruteForceDecisions);
-                stats.bump(Counter::BlockKernelCalls);
-                return bcp::within_threshold_blocks(&cc.core_block(r1), &cc.core_block(r2), eps);
-            }
-            // Large pair: the same optimistic budgeted probe as the
-            // sequential route — only an undecided probe builds a tree.
-            stats.bump(Counter::BlockKernelCalls);
-            if let Some(hit) =
-                bcp::probe_within_threshold_blocks(&cc.core_block(r1), &cc.core_block(r2), eps)
-            {
-                stats.bump(Counter::BruteForceDecisions);
+            // The same scan rungs as the sequential route; only a pair they
+            // leave undecided builds a tree.
+            if let Some(hit) = crate::algorithms::exact_edge_scan(&cc, r1, r2, stats) {
                 return hit;
             }
-            stats.bump(Counter::TreeProbeDecisions);
+            let (a, b) = (&cc.core_points_of[r1], &cc.core_points_of[r2]);
             // Probe the smaller side, tree on the larger (ties to the higher
             // rank) — the same designation the sequential lazy cache uses.
             let (probe, tree_rank) = if a.len() <= b.len() { (a, r2) } else { (b, r1) };
@@ -1241,6 +1233,22 @@ mod tests {
         (0..n).map(|_| p2(next(), next())).collect()
     }
 
+    /// `n` points along the rising diagonal of grid cell `(cx, 0)` for
+    /// ε = 1 (side 1/√2), inset 5% and 10% from its corners. Diagonals in
+    /// cells `(cx, 0)` and `(cx + 2, 0)` are ε-neighbors whose box filter
+    /// keeps about a third of each side, yet every cross pair is at least
+    /// √1.0225 apart, so the budgeted probe runs dry and the pair needs the
+    /// kd-tree.
+    fn cell_diagonal(n: usize, cx: i32) -> Vec<Point<2>> {
+        let side = std::f64::consts::FRAC_1_SQRT_2;
+        (0..n)
+            .map(|i| {
+                let t = side * (0.05 + 0.85 * i as f64 / (n - 1) as f64);
+                p2(f64::from(cx) * side + t, t)
+            })
+            .collect()
+    }
+
     #[test]
     fn resolve_threads_explicit_zero_and_none() {
         let all = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -1348,10 +1356,14 @@ mod tests {
     fn fused_edge_stage_skips_and_matches_sequential_counters() {
         // Dense blob (cells far above the brute-force product limit — with
         // the raised 16384 crossover that needs ~130+ core points per cell)
-        // plus a sparse fringe (cells below it), so both edge-test routes
-        // fire.
+        // plus a sparse fringe (cells below it), so both scan rungs fire;
+        // the blob's pairs are all decided before the tree. Two diagonals
+        // far from both pass the box filter and the probe, so the tree
+        // route fires too.
         let mut pts = lcg_points(6_000, 4.0, 11);
         pts.extend(lcg_points(2_000, 30.0, 12));
+        pts.extend(cell_diagonal(800, 200));
+        pts.extend(cell_diagonal(800, 202));
         let p = params(1.0, 4);
 
         let seq_stats = Stats::new();

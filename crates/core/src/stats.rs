@@ -111,7 +111,9 @@ pub enum Counter {
     EdgeTestsSkipped,
     /// Edge tests that returned true (an edge of the core-cell graph `G`).
     EdgesFound,
-    /// Edge tests decided by the early-exit brute-force scan.
+    /// Edge tests decided without a kd-tree: by the early-exit brute-force
+    /// scan, or for a large pair by its bounding-box filter, scan or
+    /// budgeted probe ([`crate::bcp::within_threshold_filtered`]).
     BruteForceDecisions,
     /// Edge tests decided by probing a per-cell kd-tree.
     TreeProbeDecisions,

@@ -151,6 +151,56 @@ proptest! {
     }
 }
 
+/// `n` points along the rising diagonal of grid cell `(cx, 0)` for ε = 1
+/// (side 1/√2), inset 5% and 10% from its corners. Diagonals in cells
+/// `(cx, 0)` and `(cx ± 2, 0)` are ε-neighbors whose box filter keeps about a
+/// third of each side, yet every cross pair is at least √1.0225 apart, so
+/// the budgeted probe runs dry and the pair is decided on a kd-tree.
+fn cell_diagonal(n: usize, cx: i32) -> Vec<Point<2>> {
+    let side = std::f64::consts::FRAC_1_SQRT_2;
+    (0..n)
+        .map(|i| {
+            let t = side * (0.05 + 0.85 * i as f64 / (n - 1) as f64);
+            Point([f64::from(cx) * side + t, t])
+        })
+        .collect()
+}
+
+/// The tree-cache accounting of the proptest above, on an input that
+/// reaches the tree route: a 1200-point diagonal between two 800-point
+/// ones. Both pairs put the tree on the middle cell, so the first builds it
+/// and the second hits it.
+#[test]
+fn tree_probe_decisions_resolve_through_the_cache() {
+    let mut pts = cell_diagonal(1200, 0);
+    pts.extend(cell_diagonal(800, 2));
+    pts.extend(cell_diagonal(800, -2));
+    let p = params(1.0, 5);
+
+    let seq = Stats::new();
+    let a = grid_exact_instrumented(&pts, p, BcpStrategy::TreeAssisted, &seq);
+    let par = Stats::new();
+    let b = grid_exact_par_instrumented(&pts, p, Some(4), &par);
+    let brute = grid_exact_with(&pts, p, BcpStrategy::BruteForceOnly);
+    assert_eq!(a.num_clusters, 3);
+    assert_eq!(a.assignments, brute.assignments);
+    assert_eq!(b.assignments, brute.assignments);
+
+    let sr = seq.report();
+    assert_eq!(sr.counter(Counter::TreeProbeDecisions), 2);
+    assert_eq!(sr.counter(Counter::KdTreeBuilds), 1);
+    assert_eq!(sr.counter(Counter::TreeCacheHits), 1);
+    let pr = par.report();
+    assert_eq!(pr.counter(Counter::TreeProbeDecisions), 2);
+    assert_eq!(
+        pr.counter(Counter::KdTreeBuilds) + pr.counter(Counter::TreeCacheHits),
+        pr.counter(Counter::TreeProbeDecisions)
+    );
+    for (r, label) in [(&sr, "grid_exact"), (&pr, "grid_exact_par")] {
+        assert_connect_invariants(r, label);
+    }
+}
+
 /// Instrumentation must not change results: every algorithm returns the same
 /// clustering through its instrumented entry point with a live collector as
 /// through the plain public API (which uses the no-op collector).
